@@ -17,6 +17,9 @@
  *    output (acceptance: 0 — the escalation ladder ends in local
  *    fallback, so runInto never fails).
  *
+ * Every qps figure is the median over R timed repeats, and each
+ * repeat cycles the Q queries until it covers at least 512 of them.
+ *
  * Usage: distributed_scaling [out.csv] [--workers W] [--rows N]
  *                            [--queries Q] [--repeats R]
  *                            [--worker-bin PATH]
@@ -30,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -150,20 +154,33 @@ struct RecoveryRow
     std::size_t repeats = 0;
 };
 
+/**
+ * Fewest queries one timed repeat covers: the query set is cycled
+ * until a repeat spans at least this many, so a phase lasts tens of
+ * milliseconds rather than a couple, and one scheduler hiccup cannot
+ * swing the recovered/steady ratio by 20%.
+ */
+constexpr std::size_t kMinTimedQueries = 512;
+
+/** Median over `repeats` timed repeats of the queries/sec. */
 double
 measureQps(const AttentionBackend &backend,
            const std::vector<Vector> &queries, std::size_t repeats)
 {
     AttentionResult out;
     backend.runInto(queries.front(), out);  // warm-up
-    RunningStat seconds;
+    const std::size_t passes =
+        (kMinTimedQueries + queries.size() - 1) / queries.size();
+    std::vector<double> qps;
     for (std::size_t r = 0; r < repeats; ++r) {
         const double start = now();
-        for (const Vector &q : queries)
-            backend.runInto(q, out);
-        seconds.add(now() - start);
+        for (std::size_t pass = 0; pass < passes; ++pass)
+            for (const Vector &q : queries)
+                backend.runInto(q, out);
+        qps.push_back(static_cast<double>(passes * queries.size()) /
+                      (now() - start));
     }
-    return static_cast<double>(queries.size()) / seconds.min();
+    return percentile(std::move(qps), 0.5);
 }
 
 RemoteShardConfig

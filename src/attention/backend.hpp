@@ -204,12 +204,17 @@ class AttentionBackend
     /**
      * Advisory remaining-deadline hint for the next queries, in
      * seconds (<= 0 clears the hint). The BatchScheduler publishes
-     * each drained group's tightest remaining budget before the
-     * engine pass; backends that wait on external resources (the
-     * remote shard coordinator) clamp their per-query waits to it.
-     * Purely advisory and monotonic-cheap: the default is a no-op,
-     * and implementations store it in a relaxed atomic — the hint
-     * must be settable on a const backend from the drain thread.
+     * every drained group's tightest remaining budget before the
+     * engine pass, 0 for a group without deadlines, so no hint
+     * outlives the drain that set it; backends that wait on external
+     * resources (the remote shard coordinator) clamp their per-query
+     * waits to it. Purely advisory and monotonic-cheap: the default
+     * is a no-op, and implementations store it in a relaxed atomic —
+     * the hint must be settable on a const backend from the drain
+     * thread. The hint is per backend, not per call, so two drains
+     * running concurrently on one session can still overwrite each
+     * other's budget; the planned fix is a per-call QueryContext
+     * that carries the deadline (see ROADMAP.md).
      */
     virtual void queryDeadlineHint(double remainingSeconds) const
     {

@@ -1,15 +1,37 @@
 #include "attention/quantized.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <type_traits>
 #include <utility>
 
-#include "fixed/value.hpp"
 #include "kernels/kernels.hpp"
 #include "net/wire.hpp"
 #include "util/logging.hpp"
 
 namespace a3 {
+
+namespace {
+
+/**
+ * Width rules of the integer datapath that depend only on the stage
+ * formats, so they are checked whenever the formats are derived (at
+ * construction and in append()) instead of once per element: input
+ * words ride int32 lanes, and every weighted value w * v — mulFull's
+ * (iw + i, fw + f) product — fits the int64 output accumulators.
+ */
+void
+checkDatapathWidths(const PipelineFormats &pf)
+{
+    a3Assert(pf.input.totalBits() <= 32, "input format ",
+             pf.input.str(), " exceeds the 32-bit word lane");
+    const FixedFormat product{pf.weight.intBits + pf.input.intBits,
+                              pf.weight.fracBits + pf.input.fracBits};
+    a3Assert(product.totalBits() <= 63,
+             "weighted-value product too wide: ", product.str());
+}
+
+}  // namespace
 
 QuantizedAttention::QuantizedAttention(int intBits, int fracBits,
                                        std::size_t maxRows,
@@ -18,6 +40,7 @@ QuantizedAttention::QuantizedAttention(int intBits, int fracBits,
       lut_(2 * fracBits, 2 * fracBits),
       maxRows_(maxRows), dims_(dims)
 {
+    checkDatapathWidths(formats_);
 }
 
 QuantizedAttention::QuantizedAttention(Matrix key, Matrix value,
@@ -147,6 +170,7 @@ QuantizedAttention::append(const Matrix &keyRows, const Matrix &valueRows)
     // larger legal range.
     formats_ = PipelineFormats::derive(inFmt.intBits, inFmt.fracBits,
                                        boundRows_, dims_);
+    checkDatapathWidths(formats_);
     Scratch::forThread().reserveTask(boundRows_, dims_);
 }
 
@@ -327,8 +351,8 @@ QuantizedAttention::runInto(const Vector &query,
     Scratch &scratch = Scratch::forThread();
     scratch.rowIds.resize(boundRows_);
     std::iota(scratch.rowIds.begin(), scratch.rowIds.end(), 0u);
-    runCore(boundRows_, nullptr, nullptr, query, scratch.rowIds, out,
-            scratch);
+    runCore(boundRows_, packed_, keyQ_.data(), valueQ_.data(), query,
+            scratch.rowIds, out, scratch);
 }
 
 void
@@ -337,8 +361,8 @@ QuantizedAttention::runRowsInto(const Vector &query,
                                 AttentionResult &out) const
 {
     a3Assert(bound_, "runRowsInto() needs a bound task");
-    runCore(boundRows_, nullptr, nullptr, query, rows, out,
-            Scratch::forThread());
+    runCore(boundRows_, packed_, keyQ_.data(), valueQ_.data(), query,
+            rows, out, Scratch::forThread());
 }
 
 AttentionResult
@@ -357,26 +381,44 @@ QuantizedAttention::run(const Matrix &key, const Matrix &value,
 {
     a3Assert(key.rows() == value.rows() && key.cols() == value.cols(),
              "key/value shape mismatch");
+    const std::size_t n = key.rows();
+    const std::size_t d = dims_;
+    a3Assert(key.cols() == d && n <= maxRows_,
+             "task exceeds the sized pipeline capacity (", n, "x",
+             key.cols(), " vs ", maxRows_, "x", d, ")");
+
+    // Quantize just the rows this run reads into the thread's word32
+    // task lanes, then take the same kernel path as a bound datapath:
+    // quantization is deterministic, so the words are the ones a bind
+    // of this task would cache.
+    Scratch &scratch = Scratch::forThread();
+    scratch.taskKeyQ.resize(n * d);
+    scratch.taskValueQ.resize(n * d);
+    const FixedFormat inFmt = formats_.input;
+    for (const std::uint32_t r : rows) {
+        a3Assert(r < n, "row ", r, " outside the ", n, "-row task");
+        for (std::size_t j = 0; j < d; ++j) {
+            scratch.taskKeyQ[r * d + j] =
+                static_cast<std::int32_t>(inFmt.quantize(key(r, j)));
+            scratch.taskValueQ[r * d + j] =
+                static_cast<std::int32_t>(inFmt.quantize(value(r, j)));
+        }
+    }
     AttentionResult out;
-    runCore(key.rows(), &key, &value, query, rows, out,
-            Scratch::forThread());
+    runCore(n, PackedKvFormat::Word32, scratch.taskKeyQ.data(),
+            scratch.taskValueQ.data(), query, rows, out, scratch);
     return out;
 }
 
 void
-QuantizedAttention::runCore(std::size_t n, const Matrix *key,
-                            const Matrix *value, const Vector &query,
+QuantizedAttention::runCore(std::size_t n, PackedKvFormat lane,
+                            const std::int32_t *keyWords,
+                            const std::int32_t *valueWords,
+                            const Vector &query,
                             std::span<const std::uint32_t> rows,
                             AttentionResult &result,
                             Scratch &scratch) const
 {
-    a3Assert(key == nullptr ||
-                 (key->rows() == n && key->cols() == dims_ &&
-                  value->rows() == n && value->cols() == dims_),
-             "task exceeds the sized pipeline capacity (",
-             key != nullptr ? key->rows() : n, "x",
-             key != nullptr ? key->cols() : dims_, " vs ", maxRows_,
-             "x", dims_, ")");
     a3Assert(n <= maxRows_,
              "task exceeds the sized pipeline capacity (", n, " rows "
              "vs ", maxRows_, ")");
@@ -385,24 +427,27 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
     const std::size_t d = dims_;
     const std::size_t m = rows.size();
     const FixedFormat inFmt = formats_.input;
-
-    // Quantize the query once (host copies the quantized vector in).
-    std::vector<std::int64_t> &queryQ = scratch.queryQ;
-    queryQ.resize(d);
-    for (std::size_t j = 0; j < d; ++j)
-        queryQ[j] = inFmt.quantize(query[j]);
-
-    // Bound runs with a packed layout MAC directly on the packed
-    // lanes; the lanes hold the exact quantized words, so the result
-    // is bit-identical to the Word32 loops.
-    const bool packedLanes =
-        key == nullptr && packed_ != PackedKvFormat::Word32;
+    const bool packedLanes = lane != PackedKvFormat::Word32;
     const Kernels &kern = activeKernels();
 
+    // The int64 accumulators of the I32 dot kernel hold any sum of the
+    // dot-product format; a wider format would overflow them.
+    a3Assert(formats_.dotProduct.totalBits() <= 63,
+             "dot-product format ", formats_.dotProduct.str(),
+             " exceeds the 64-bit accumulator");
+
+    // Quantize the query once (host copies the quantized vector in);
+    // the constructor checked that input words fit an int32 lane.
+    std::vector<std::int32_t> &queryQ = scratch.queryQ;
+    queryQ.resize(d);
+    for (std::size_t j = 0; j < d; ++j)
+        queryQ[j] = static_cast<std::int32_t>(inFmt.quantize(query[j]));
+
     // --- Module 1: dot products and running max (Figure 5 lines 3-10).
+    // Every lane holds the exact quantized words, so the three kernels
+    // produce the same integer sums.
     std::vector<std::int64_t> &dotQ = scratch.dotQ;
     dotQ.resize(m);
-    std::int64_t maxDot = 0;
     if (packedLanes) {
         std::vector<std::int8_t> &queryQ8 = scratch.queryQ8;
         queryQ8.resize(d);
@@ -410,40 +455,23 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
             queryQ8[j] = static_cast<std::int8_t>(queryQ[j]);
         std::vector<std::int32_t> &dot32 = scratch.dotQ32;
         dot32.resize(m);
-        if (packed_ == PackedKvFormat::Int8)
+        if (lane == PackedKvFormat::Int8)
             kern.gatherDotI8(keyQ8_.data(), d, rows.data(), m,
                              queryQ8.data(), dot32.data());
         else
             kern.gatherDotI4(keyQ4_.data(), d, rows.data(), m,
                              queryQ8.data(), dot32.data());
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::int64_t sum = dot32[i];
-            a3Assert(formats_.dotProduct.fits(sum),
-                     "dot-product stage overflow: Section III-B widths "
-                     "violated");
-            dotQ[i] = sum;
-            if (i == 0 || sum > maxDot)
-                maxDot = sum;
-        }
+        std::copy(dot32.begin(), dot32.end(), dotQ.begin());
     } else {
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::uint32_t r = rows[i];
-            std::int64_t sum = 0;  // adder-tree acc, (2i+log2 d, 2f)
-            if (key == nullptr) {
-                const std::int32_t *keyRow = keyQ_.data() + r * d;
-                for (std::size_t j = 0; j < d; ++j)
-                    sum += keyRow[j] * queryQ[j];
-            } else {
-                for (std::size_t j = 0; j < d; ++j)
-                    sum += inFmt.quantize((*key)(r, j)) * queryQ[j];
-            }
-            a3Assert(formats_.dotProduct.fits(sum),
-                     "dot-product stage overflow: Section III-B widths "
-                     "violated");
-            dotQ[i] = sum;
-            if (i == 0 || sum > maxDot)
-                maxDot = sum;
-        }
+        kern.gatherDotI32(keyWords, d, rows.data(), m, queryQ.data(),
+                          dotQ.data());
+    }
+    std::int64_t maxDot = dotQ[0];
+    for (std::size_t i = 0; i < m; ++i) {
+        a3Assert(formats_.dotProduct.fits(dotQ[i]),
+                 "dot-product stage overflow: Section III-B widths "
+                 "violated");
+        maxDot = std::max(maxDot, dotQ[i]);
     }
 
     // --- Module 2: exponent computation (Figure 5 lines 11-16).
@@ -462,6 +490,43 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
                          "~1 by construction");
 
     // --- Module 3: weights and output accumulation (lines 17-21).
+    // Weights come from the truncating sequential divider of
+    // fixed/value.hpp's divide(): score << preShift, integer-divided
+    // by expSum, saturated into the weight format. They overwrite
+    // scoreQ in place.
+    const FixedFormat weightFmt = formats_.weight;
+    const int preShift =
+        weightFmt.fracBits + formats_.expSum.fracBits -
+        formats_.score.fracBits;
+    a3Assert(preShift >= 0 &&
+                 formats_.score.totalBits() + preShift <= 63,
+             "divide pre-shift of ", preShift, " overflows the ",
+             formats_.score.str(), " score");
+    std::vector<std::int64_t> &weightQ = scoreQ;
+    std::int64_t weightSum = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+        weightQ[i] =
+            weightFmt.saturate((scoreQ[i] << preShift) / expSum);
+        a3Assert(weightQ[i] >= 0, "negative attention weight ",
+                 weightQ[i]);
+        weightSum += weightQ[i];
+    }
+    // Output-stage capacity, checked once per query instead of per
+    // element. Each weight is a non-negative truncated share of
+    // expSum, so the weights sum to at most 1.0 (2^fw raw in the
+    // weight format (0, fw)). Every value word v satisfies |v| <=
+    // maxRaw(input) = 2^(i+f) - 1, so after any number of rows each
+    // accumulator satisfies |sum_k w_k v_k| <= 2^fw * (2^(i+f) - 1)
+    // < 2^(i+f+fw) <= maxRaw(output) + 1, with fw = 2f and output
+    // (i + log2 n, 3f): every partial sum fits the output format, and
+    // so does every product w * v (mulFull's (i, 3f) result). With
+    // the derived formats (score, expSum and weight all carry fw
+    // fraction bits) the pre-shift check above bounds fw <= 31, so
+    // every weight also fits the int32 operand of axpyI32.
+    a3Assert(weightSum <= (std::int64_t{1} << weightFmt.fracBits),
+             "attention weights must sum to at most 1.0 (",
+             weightSum, " raw in ", weightFmt.str(), ")");
+
     result.scores.assign(n, 0.0f);
     result.weights.assign(n, 0.0f);
     result.candidates.assign(rows.begin(), rows.end());
@@ -469,17 +534,13 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
     result.output.assign(d, 0.0f);
     result.iterations = 0;
 
-    const FixedValue expSumV{expSum, formats_.expSum};
     std::vector<std::int64_t> &outQ = scratch.outQ;
     outQ.assign(d, 0);
     const std::size_t rowBytes4 = (d + 1) / 2;
     const double queryScale = inFmt.resolution();
     for (std::size_t i = 0; i < m; ++i) {
         const std::uint32_t r = rows[i];
-        const FixedValue scoreV{scoreQ[i], formats_.score};
-        const FixedValue weightV =
-            divide(scoreV, expSumV, formats_.weight.intBits,
-                   formats_.weight.fracBits);
+        const std::int64_t w = weightQ[i];
         // Packed rows dequantize through the per-row scale metadata;
         // the scales are powers of two, so the product double(raw) *
         // keyScale * queryScale is exact and bit-identical to the
@@ -490,40 +551,26 @@ QuantizedAttention::runCore(std::size_t n, const Matrix *key,
                                      keyScale_[r] * queryScale)
                 : static_cast<float>(
                       formats_.dotProduct.toDouble(dotQ[i]));
-        result.weights[r] = static_cast<float>(weightV.toDouble());
-        if (packedLanes) {
-            // Fused dequant-dot accumulation on the packed bytes:
-            // product.raw below is weightV.raw * vq, which is exactly
-            // what axpyI8/I4 accumulate (the weight format (0, 2f)
-            // keeps |w| far under the kernels' 2^24 contract).
-            if (packed_ == PackedKvFormat::Int8)
-                kern.axpyI8(weightV.raw, valueQ8_.data() + r * d,
-                            outQ.data(), d);
-            else
-                kern.axpyI4(weightV.raw,
-                            valueQ4_.data() + r * rowBytes4,
-                            outQ.data(), d);
-            continue;
-        }
-        const std::int32_t *valueRow =
-            value == nullptr ? valueQ_.data() + r * d : nullptr;
-        for (std::size_t j = 0; j < d; ++j) {
-            const std::int64_t vq =
-                valueRow != nullptr ? valueRow[j]
-                                    : inFmt.quantize((*value)(r, j));
-            const FixedValue valueV{vq, inFmt};
-            const FixedValue product = mulFull(weightV, valueV);
-            // Accumulate at (i + log2 n, 3f); product already has 3f
-            // fraction bits because weight carries 2f and value f.
-            outQ[j] += product.raw;
-            a3Assert(formats_.output.fits(outQ[j]),
-                     "output stage overflow");
+        result.weights[r] = static_cast<float>(weightFmt.toDouble(w));
+        // Accumulate w * v at (i + log2 n, 3f): the weight carries 2f
+        // fraction bits and the value f.
+        switch (lane) {
+        case PackedKvFormat::Word32:
+            kern.axpyI32(static_cast<std::int32_t>(w),
+                         valueWords + r * d, outQ.data(), d);
+            break;
+        case PackedKvFormat::Int8:
+            kern.axpyI8(w, valueQ8_.data() + r * d, outQ.data(), d);
+            break;
+        case PackedKvFormat::Int4:
+            kern.axpyI4(w, valueQ4_.data() + r * rowBytes4, outQ.data(),
+                        d);
+            break;
+        case PackedKvFormat::Auto:
+            panic("bound datapath cannot hold an unresolved layout");
         }
     }
     for (std::size_t j = 0; j < d; ++j) {
-        // Packed rows skip the per-element overflow check inside the
-        // hot loop; the final accumulators must still fit (partial
-        // sums are bounded by the same capacity annotation).
         a3Assert(formats_.output.fits(outQ[j]), "output stage overflow");
         result.output[j] =
             static_cast<float>(formats_.output.toDouble(outQ[j]));

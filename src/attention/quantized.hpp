@@ -167,14 +167,16 @@ class QuantizedAttention final : public AttentionBackend
 
   private:
     /**
-     * The pipeline over `rows` of an n x dims_ task. In bound mode
-     * key/value are null and the pre-quantized keyQ_/valueQ_ words
-     * are read; in unbound mode the float matrices are quantized on
-     * the fly (identical values either way — quantization is
-     * deterministic, so bound and unbound runs are bit-identical).
+     * The pipeline over `rows` of an n x dims_ task, one kernel call
+     * per module for each lane width. `lane` picks the K/V lanes:
+     * Word32 reads the row-major keyWords/valueWords (the bound
+     * keyQ_/valueQ_, or an unbound run's scratch words), Int8/Int4
+     * the packed keyQ8_/keyQ4_ lanes. Every lane holds the same
+     * quantized words, so results are bit-identical across lanes.
      */
-    void runCore(std::size_t n, const Matrix *key, const Matrix *value,
-                 const Vector &query,
+    void runCore(std::size_t n, PackedKvFormat lane,
+                 const std::int32_t *keyWords,
+                 const std::int32_t *valueWords, const Vector &query,
                  std::span<const std::uint32_t> rows,
                  AttentionResult &out, Scratch &scratch) const;
 

@@ -6,23 +6,6 @@
 
 namespace a3 {
 
-std::int64_t
-FixedFormat::maxRaw() const
-{
-    a3Assert(intBits + fracBits < 63, "fixed-point format too wide");
-    return (std::int64_t{1} << (intBits + fracBits)) - 1;
-}
-
-std::int64_t
-FixedFormat::minRaw() const
-{
-    // Symmetric range: -maxRaw rather than -(maxRaw + 1). Restricting
-    // the most negative code keeps the product of two (i, f) words
-    // inside (2i, 2f) even at the corner (-2^i) * (-2^i), the same
-    // reason fixed-point accelerators quantize symmetrically.
-    return -maxRaw();
-}
-
 double
 FixedFormat::resolution() const
 {
@@ -39,12 +22,6 @@ double
 FixedFormat::minValue() const
 {
     return toDouble(minRaw());
-}
-
-bool
-FixedFormat::fits(std::int64_t raw) const
-{
-    return raw >= minRaw() && raw <= maxRaw();
 }
 
 std::int64_t

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/logging.hpp"
+
 namespace a3 {
 
 /**
@@ -31,11 +33,20 @@ struct FixedFormat
     int totalBits() const { return intBits + fracBits + 1; }
 
     /** Largest representable raw value: 2^(intBits+fracBits) - 1. */
-    std::int64_t maxRaw() const;
+    std::int64_t maxRaw() const
+    {
+        a3Assert(intBits + fracBits < 63, "fixed-point format too wide");
+        return (std::int64_t{1} << (intBits + fracBits)) - 1;
+    }
 
-    /** Smallest representable raw value: -maxRaw() (symmetric range,
-     * so products never outgrow the doubled-width format). */
-    std::int64_t minRaw() const;
+    /**
+     * Smallest representable raw value: -maxRaw(). Symmetric range:
+     * -maxRaw rather than -(maxRaw + 1). Restricting the most negative
+     * code keeps the product of two (i, f) words inside (2i, 2f) even
+     * at the corner (-2^i) * (-2^i), the same reason fixed-point
+     * accelerators quantize symmetrically.
+     */
+    std::int64_t minRaw() const { return -maxRaw(); }
 
     /** Value of one least-significant bit. */
     double resolution() const;
@@ -46,8 +57,13 @@ struct FixedFormat
     /** Smallest (most negative) representable real value. */
     double minValue() const;
 
-    /** True when `raw` fits this format without saturation. */
-    bool fits(std::int64_t raw) const;
+    /** True when `raw` fits this format without saturation (inline:
+     *  the quantized datapath checks every row's stage values). */
+    bool fits(std::int64_t raw) const
+    {
+        const std::int64_t max = maxRaw();
+        return raw >= -max && raw <= max;
+    }
 
     /**
      * Quantize a real value: round-to-nearest-even at the format

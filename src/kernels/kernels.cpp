@@ -35,6 +35,7 @@ scalarKernels()
         dotI8Scalar,       gatherDotI8Scalar,
         dotI4Scalar,       gatherDotI4Scalar,
         axpyI8Scalar,      axpyI4Scalar,
+        gatherDotI32Scalar, axpyI32Scalar,
     };
     return table;
 }

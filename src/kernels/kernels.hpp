@@ -34,11 +34,16 @@
  *    polynomial exp. These agree with the scalar kernel to ~1e-6
  *    relative error and are themselves run-to-run deterministic for a
  *    fixed table choice.
- *  - The packed integer kernels — dotI8 / gatherDotI8 / dotI4 /
- *    gatherDotI4 / axpyI8 / axpyI4 — compute exact integer sums, so
- *    despite reassociating they are bit-identical across every table
- *    (integer addition is associative). They form a third, strongest
- *    class: exact on all ISAs, not merely order-preserving.
+ *  - The integer kernels — dotI8 / gatherDotI8 / dotI4 /
+ *    gatherDotI4 / axpyI8 / axpyI4 on the packed lanes, and
+ *    gatherDotI32 / axpyI32 on the word32 lane — compute exact
+ *    integer sums, so despite reassociating they are bit-identical
+ *    across every table (integer addition is associative). They form
+ *    a third, strongest class: exact on all ISAs, not merely
+ *    order-preserving. The I32 lane widens every int32 x int32
+ *    product to int64 and accumulates in int64; its contract is that
+ *    the caller's sums fit int64, which the quantized pipeline
+ *    guarantees through its Section III-B stage widths.
  *
  * All kernels assume finite inputs (the attention library never feeds
  * them NaN or infinity); behavior on non-finite values is unspecified
@@ -166,6 +171,23 @@ struct Kernels
     /** Nibble-packed variant of axpyI8 (x holds ceil(n/2) bytes). */
     void (*axpyI4)(std::int64_t w, const std::uint8_t *x,
                    std::int64_t *y, std::size_t n);
+
+    /*
+     * Word32 lane: the widening sibling of the packed kernels, for
+     * input words too wide for a byte (AVX2 _mm256_mul_epi32, NEON
+     * vmull_s32/vmlal_s32, SSE2 an unsigned multiply with a sign
+     * correction). Precondition: the int64 sums do not overflow — the
+     * dot-product and output stage formats fit 63 bits.
+     */
+
+    /** out[i] = sum_j mat[rows[i]][j] * q[j]; rows hold dims words. */
+    void (*gatherDotI32)(const std::int32_t *mat, std::size_t dims,
+                         const std::uint32_t *rows, std::size_t count,
+                         const std::int32_t *q, std::int64_t *out);
+
+    /** y[j] += w * x[j], each product widened to int64 (exact). */
+    void (*axpyI32)(std::int32_t w, const std::int32_t *x,
+                    std::int64_t *y, std::size_t n);
 };
 
 /** The portable reference table (always available). */

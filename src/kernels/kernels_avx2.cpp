@@ -362,6 +362,61 @@ axpyI4Avx2(std::int64_t w, const std::uint8_t *x, std::int64_t *y,
     axpyI4Scalar(w, x + j / 2, y + j, n - j);
 }
 
+/**
+ * Word32 dot: _mm256_mul_epi32 multiplies the sign-extended even
+ * int32 lanes into int64 products; shifting each 64-bit lane right
+ * by 32 brings the odd lanes into the even slots for a second
+ * multiply. Both products accumulate exactly in int64 lanes.
+ */
+std::int64_t
+dotI32Avx2(const std::int32_t *a, const std::int32_t *b, std::size_t n)
+{
+    __m256i acc = _mm256_setzero_si256();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256i va = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(a + i));
+        const __m256i vb = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(b + i));
+        acc = _mm256_add_epi64(acc, _mm256_mul_epi32(va, vb));
+        acc = _mm256_add_epi64(
+            acc, _mm256_mul_epi32(_mm256_srli_epi64(va, 32),
+                                  _mm256_srli_epi64(vb, 32)));
+    }
+    __m128i s = _mm_add_epi64(_mm256_castsi256_si128(acc),
+                              _mm256_extracti128_si256(acc, 1));
+    s = _mm_add_epi64(s, _mm_unpackhi_epi64(s, s));
+    return _mm_cvtsi128_si64(s) + dotI32Scalar(a + i, b + i, n - i);
+}
+
+void
+gatherDotI32Avx2(const std::int32_t *mat, std::size_t dims,
+                 const std::uint32_t *rows, std::size_t count,
+                 const std::int32_t *q, std::int64_t *out)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = dotI32Avx2(mat + rows[i] * dims, q, dims);
+}
+
+void
+axpyI32Avx2(std::int32_t w, const std::int32_t *x, std::int64_t *y,
+            std::size_t n)
+{
+    // Sign-extend 4 words into int64 lanes; _mm256_mul_epi32 reads
+    // the low (sign-extended) half of each lane, giving w * x exactly.
+    const __m256i vw = _mm256_set1_epi64x(w);
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        const __m256i x64 = _mm256_cvtepi32_epi64(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(x + j)));
+        __m256i *yj = reinterpret_cast<__m256i *>(y + j);
+        _mm256_storeu_si256(yj,
+                            _mm256_add_epi64(_mm256_loadu_si256(yj),
+                                             _mm256_mul_epi32(x64, vw)));
+    }
+    axpyI32Scalar(w, x + j, y + j, n - j);
+}
+
 }  // namespace
 
 const Kernels *
@@ -379,6 +434,7 @@ avx2Kernels()
         dotI8Avx2,         gatherDotI8Avx2,
         dotI4Avx2,         gatherDotI4Avx2,
         axpyI8Avx2,        axpyI4Avx2,
+        gatherDotI32Avx2,  axpyI32Avx2,
     };
     return &table;
 }

@@ -172,6 +172,34 @@ axpyI4Scalar(std::int64_t w, const std::uint8_t *x, std::int64_t *y,
         y[i] += w * static_cast<std::int64_t>(unpackNibbleLow(x[i / 2]));
 }
 
+inline std::int64_t
+dotI32Scalar(const std::int32_t *a, const std::int32_t *b, std::size_t n)
+{
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += static_cast<std::int64_t>(a[i]) *
+               static_cast<std::int64_t>(b[i]);
+    return sum;
+}
+
+inline void
+gatherDotI32Scalar(const std::int32_t *mat, std::size_t dims,
+                   const std::uint32_t *rows, std::size_t count,
+                   const std::int32_t *q, std::int64_t *out)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = dotI32Scalar(mat + rows[i] * dims, q, dims);
+}
+
+inline void
+axpyI32Scalar(std::int32_t w, const std::int32_t *x, std::int64_t *y,
+              std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        y[i] += static_cast<std::int64_t>(w) *
+                static_cast<std::int64_t>(x[i]);
+}
+
 }  // namespace kernel_detail
 }  // namespace a3
 

@@ -231,6 +231,50 @@ axpyI4Neon(std::int64_t w, const std::uint8_t *x, std::int64_t *y,
     axpyI4Scalar(w, x + j / 2, y + j, n - j);
 }
 
+std::int64_t
+dotI32Neon(const std::int32_t *a, const std::int32_t *b, std::size_t n)
+{
+    // vmlal_s32 widens each int32 x int32 product to int64 before the
+    // add, so the int64 accumulators are exact.
+    int64x2_t acc0 = vdupq_n_s64(0);
+    int64x2_t acc1 = vdupq_n_s64(0);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const int32x4_t va = vld1q_s32(a + i);
+        const int32x4_t vb = vld1q_s32(b + i);
+        acc0 = vmlal_s32(acc0, vget_low_s32(va), vget_low_s32(vb));
+        acc1 = vmlal_s32(acc1, vget_high_s32(va), vget_high_s32(vb));
+    }
+    return vaddvq_s64(vaddq_s64(acc0, acc1)) +
+           dotI32Scalar(a + i, b + i, n - i);
+}
+
+void
+gatherDotI32Neon(const std::int32_t *mat, std::size_t dims,
+                 const std::uint32_t *rows, std::size_t count,
+                 const std::int32_t *q, std::int64_t *out)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = dotI32Neon(mat + rows[i] * dims, q, dims);
+}
+
+void
+axpyI32Neon(std::int32_t w, const std::int32_t *x, std::int64_t *y,
+            std::size_t n)
+{
+    const int32x2_t vw = vdup_n_s32(w);
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        const int32x4_t vx = vld1q_s32(x + j);
+        vst1q_s64(y + j, vaddq_s64(vld1q_s64(y + j),
+                                   vmull_s32(vget_low_s32(vx), vw)));
+        vst1q_s64(y + j + 2,
+                  vaddq_s64(vld1q_s64(y + j + 2),
+                            vmull_s32(vget_high_s32(vx), vw)));
+    }
+    axpyI32Scalar(w, x + j, y + j, n - j);
+}
+
 }  // namespace
 
 const Kernels *
@@ -245,6 +289,7 @@ neonKernels()
         dotI8Neon,       gatherDotI8Neon,
         dotI4Neon,       gatherDotI4Neon,
         axpyI8Neon,      axpyI4Neon,
+        gatherDotI32Neon, axpyI32Neon,
     };
     return &table;
 }

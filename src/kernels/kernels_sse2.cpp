@@ -232,14 +232,85 @@ gatherWeightedSumSse2(const float *mat, std::size_t dims,
     }
 }
 
+/**
+ * Signed products of the low int32 of each 64-bit lane, widened to
+ * int64. SSE2 only has the unsigned _mm_mul_epu32; reading a signed
+ * word a as unsigned adds 2^32 when a < 0, so modulo 2^64
+ * a * b = ua * ub - 2^32 * ((a < 0 ? b : 0) + (b < 0 ? a : 0)),
+ * and only the low 32 bits of the correction term matter.
+ */
+__m128i
+mulEpi32Sse2(__m128i a, __m128i b)
+{
+    const __m128i fix =
+        _mm_add_epi32(_mm_and_si128(_mm_srai_epi32(a, 31), b),
+                      _mm_and_si128(_mm_srai_epi32(b, 31), a));
+    return _mm_sub_epi64(_mm_mul_epu32(a, b), _mm_slli_epi64(fix, 32));
+}
+
+std::int64_t
+dotI32Sse2(const std::int32_t *a, const std::int32_t *b, std::size_t n)
+{
+    __m128i acc = _mm_setzero_si128();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m128i va = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(a + i));
+        const __m128i vb = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(b + i));
+        // Even words, then the odd words shifted into the even slots.
+        acc = _mm_add_epi64(acc, mulEpi32Sse2(va, vb));
+        acc = _mm_add_epi64(acc, mulEpi32Sse2(_mm_srli_epi64(va, 32),
+                                              _mm_srli_epi64(vb, 32)));
+    }
+    alignas(16) std::int64_t lanes[2];
+    _mm_store_si128(reinterpret_cast<__m128i *>(lanes), acc);
+    return lanes[0] + lanes[1] + dotI32Scalar(a + i, b + i, n - i);
+}
+
+void
+gatherDotI32Sse2(const std::int32_t *mat, std::size_t dims,
+                 const std::uint32_t *rows, std::size_t count,
+                 const std::int32_t *q, std::int64_t *out)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = dotI32Sse2(mat + rows[i] * dims, q, dims);
+}
+
+void
+axpyI32Sse2(std::int32_t w, const std::int32_t *x, std::int64_t *y,
+            std::size_t n)
+{
+    const __m128i vw = _mm_set1_epi32(w);
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        const __m128i vx = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(x + j));
+        // Duplicating each word puts x[j], x[j+1] (then x[j+2],
+        // x[j+3]) in the low halves of the two 64-bit lanes.
+        __m128i *y0 = reinterpret_cast<__m128i *>(y + j);
+        __m128i *y1 = reinterpret_cast<__m128i *>(y + j + 2);
+        _mm_storeu_si128(
+            y0, _mm_add_epi64(_mm_loadu_si128(y0),
+                              mulEpi32Sse2(_mm_unpacklo_epi32(vx, vx),
+                                           vw)));
+        _mm_storeu_si128(
+            y1, _mm_add_epi64(_mm_loadu_si128(y1),
+                              mulEpi32Sse2(_mm_unpackhi_epi32(vx, vx),
+                                           vw)));
+    }
+    axpyI32Scalar(w, x + j, y + j, n - j);
+}
+
 }  // namespace
 
 const Kernels *
 sse2Kernels()
 {
-    // axpyI8/axpyI4 widen to int64 lanes, which SSE2 has no usable
+    // axpyI8/axpyI4 widen to int64 lanes, which SSE2 has no signed
     // multiply for; the fallback tier shares the scalar bodies (still
-    // exact, still bit-identical — the class is unaffected).
+    // exact, still bit-identical — the class is unaffected). The I32
+    // lane builds its signed products from _mm_mul_epu32 instead.
     static const Kernels table{
         KernelIsa::Sse2, dotSse2,
         axpySse2,        maxReduceSse2,
@@ -250,6 +321,7 @@ sse2Kernels()
         dotI4Sse2,       gatherDotI4Sse2,
         kernel_detail::axpyI8Scalar,
         kernel_detail::axpyI4Scalar,
+        gatherDotI32Sse2, axpyI32Sse2,
     };
     return &table;
 }

@@ -19,6 +19,7 @@
  *  - greedy/maxHeap/minHeap: efficientGreedySearch working state
  *  - queryQ/dotQ/scoreQ/outQ: quantized pipeline lanes
  *  - queryQ8/dotQ32:        packed-kernel lanes of the same pipeline
+ *  - taskKeyQ/taskValueQ:   an unbound quantized run's word32 lanes
  *
  * Scratch is deliberately value-only state: reusing it changes which
  * bytes of memory are written, never the values computed, so batched
@@ -72,7 +73,7 @@ struct Scratch
     std::vector<GreedyHeapEntry> minHeap;
 
     /** Quantized query lane (length d). */
-    std::vector<std::int64_t> queryQ;
+    std::vector<std::int32_t> queryQ;
 
     /** Packed-path query lane: the same quantized words as int8. */
     std::vector<std::int8_t> queryQ8;
@@ -83,11 +84,20 @@ struct Scratch
     /** Packed-kernel dot accumulators (length = row count). */
     std::vector<std::int32_t> dotQ32;
 
-    /** Quantized exponent-score lane (length = row count). */
+    /** Quantized exponent-score lane, overwritten by the weights
+     *  (length = row count). */
     std::vector<std::int64_t> scoreQ;
 
     /** Quantized output accumulators (length d). */
     std::vector<std::int64_t> outQ;
+
+    /**
+     * Word32 K/V lanes of an unbound quantized run (n x d, only the
+     * rows the run reads are written). Not reserved by reserveTask():
+     * bound datapaths never touch them.
+     */
+    std::vector<std::int32_t> taskKeyQ;
+    std::vector<std::int32_t> taskValueQ;
 
     /**
      * Grow every buffer to the capacity an (n x d) task can need, so

@@ -133,7 +133,9 @@ WireReader::floats(std::vector<float> &out)
         return;
     }
     out.resize(static_cast<std::size_t>(count));
-    if (kLittleEndianHost) {
+    // An empty vector's data() may be null, which memcpy forbids even
+    // for zero bytes.
+    if (kLittleEndianHost && count != 0) {
         std::memcpy(out.data(), data_ + pos_,
                     static_cast<std::size_t>(count) * 4);
         pos_ += static_cast<std::size_t>(count) * 4;
@@ -153,7 +155,7 @@ WireReader::u32s(std::vector<std::uint32_t> &out)
         return;
     }
     out.resize(static_cast<std::size_t>(count));
-    if (kLittleEndianHost) {
+    if (kLittleEndianHost && count != 0) {
         std::memcpy(out.data(), data_ + pos_,
                     static_cast<std::size_t>(count) * 4);
         pos_ += static_cast<std::size_t>(count) * 4;

@@ -468,12 +468,14 @@ BatchScheduler::drain()
     // instead of the coordinator's static queryDeadlineSeconds, so a
     // request that already spent most of its budget queueing cannot
     // stall the drain for the full static deadline on a sick worker.
+    // Every group is published, deadline or not: a budget of 0 clears
+    // the hint, so a stale budget from an earlier drain cannot clamp
+    // this drain's waits.
     std::size_t hintedGroups = 0;
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (groupBudget[g] > 0.0) {
-            groups[g].backend->queryDeadlineHint(groupBudget[g]);
+        groups[g].backend->queryDeadlineHint(groupBudget[g]);
+        if (groupBudget[g] > 0.0)
             ++hintedGroups;
-        }
     }
 
     // Local results: each drain owns its buffers, so concurrent

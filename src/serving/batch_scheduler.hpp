@@ -177,7 +177,8 @@ struct BatchSchedulerStats
      *  before each pass, every group holding >= 1 deadline request
      *  gets its minimum remaining budget published to the backend
      *  via queryDeadlineHint() (remote coordinators tighten their
-     *  per-query waits to it instead of the static config). */
+     *  per-query waits to it instead of the static config); the
+     *  other groups get 0, which clears any earlier hint. */
     std::uint64_t deadlineHintedGroups = 0;
 
     /** Total shed submits; submitted - rejected() were admitted. */

@@ -1,7 +1,10 @@
 #include "serving/shard_store.hpp"
 
+#include <atomic>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <dirent.h>
@@ -122,12 +125,26 @@ ensureDirectory(const std::string &path)
     return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
 }
 
-/** Atomically (write tmp + rename) publish `bytes` at `path`. */
+/** Temp files are `<image>.tmp.<pid>.<n>`, unique per writer. */
+constexpr const char *kTempInfix = ".tmp.";
+
+/**
+ * Atomically (write tmp + rename) publish `bytes` at `path`. The temp
+ * name is unique per writer (pid plus a process-wide counter), so two
+ * stores publishing the same content key — in one process or in two
+ * sharing a spill directory — never write through the same file; the
+ * last rename wins, and both images hold the same bytes.
+ */
 bool
 writeFileAtomic(const std::string &path,
                 const std::vector<std::uint8_t> &bytes)
 {
-    const std::string tmp = path + ".tmp";
+    static std::atomic<std::uint64_t> nextTemp{0};
+    const std::uint64_t serial =
+        nextTemp.fetch_add(1, std::memory_order_relaxed);
+    const std::string tmp = path + kTempInfix +
+                            std::to_string(::getpid()) + "." +
+                            std::to_string(serial);
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr)
         return false;
@@ -141,6 +158,22 @@ writeFileAtomic(const std::string &path,
         return false;
     }
     return true;
+}
+
+/**
+ * Delete a temp file left by a writer that died before its rename.
+ * `tag` is the `<pid>.<n>` part of the name; a temp whose writer
+ * process is still alive (this one included) is in flight and kept.
+ */
+void
+removeStaleTemp(const std::string &path, const std::string &tag)
+{
+    char *end = nullptr;
+    const long pid = std::strtol(tag.c_str(), &end, 10);
+    if (end == tag.c_str() || *end != '.' || pid <= 0)
+        return;
+    if (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH)
+        ::unlink(path.c_str());
 }
 
 }  // namespace
@@ -163,8 +196,15 @@ ShardStore::scanSpillDirLocked()
     if (dir == nullptr)
         return;
     const std::string suffix = ".shard";
+    const std::string tempPrefix = suffix + kTempInfix;
     while (dirent *entry = ::readdir(dir)) {
         const std::string name = entry->d_name;
+        if (name.size() > 32 + tempPrefix.size() &&
+            name.compare(32, tempPrefix.size(), tempPrefix) == 0) {
+            removeStaleTemp(config_.spillDir + "/" + name,
+                            name.substr(32 + tempPrefix.size()));
+            continue;
+        }
         if (name.size() != 32 + suffix.size() ||
             name.compare(32, suffix.size(), suffix) != 0)
             continue;

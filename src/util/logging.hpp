@@ -103,15 +103,20 @@ panic(Args &&...args)
     std::abort();
 }
 
-/** panic() unless `cond` holds; usage: a3Assert(x > 0, "x was ", x). */
-template <typename Cond, typename... Args>
-void
-a3Assert(const Cond &cond, Args &&...args)
-{
-    if (!cond)
-        panic("assertion failed: ", std::forward<Args>(args)...);
-}
-
 }  // namespace a3
+
+/**
+ * panic() unless `cond` holds; usage: a3Assert(x > 0, "x was ", x).
+ * At least one message argument is required. A macro rather than a
+ * function so the message arguments are evaluated only when the
+ * assertion fails: an assert on a per-element hot path must cost one
+ * predictable branch, not a formatted string per call. Parenthesize
+ * a condition that contains a top-level comma.
+ */
+#define a3Assert(cond, ...)                                              \
+    do {                                                                 \
+        if (!(cond)) [[unlikely]]                                        \
+            ::a3::panic("assertion failed: ", __VA_ARGS__);              \
+    } while (0)
 
 #endif  // A3_UTIL_LOGGING_HPP

@@ -404,6 +404,104 @@ TEST(PackedKernels, EveryAvailableTableComplete)
         EXPECT_NE(k.gatherDotI4, nullptr) << kernelIsaName(isa);
         EXPECT_NE(k.axpyI8, nullptr) << kernelIsaName(isa);
         EXPECT_NE(k.axpyI4, nullptr) << kernelIsaName(isa);
+        EXPECT_NE(k.gatherDotI32, nullptr) << kernelIsaName(isa);
+        EXPECT_NE(k.axpyI32, nullptr) << kernelIsaName(isa);
+    }
+}
+
+std::vector<std::int32_t>
+randomI32(Rng &rng, std::size_t n, int magnitude)
+{
+    std::vector<std::int32_t> v(n);
+    for (auto &x : v)
+        x = static_cast<std::int32_t>(rng.uniformInt(-magnitude, magnitude));
+    return v;
+}
+
+std::int64_t
+dotI64Reference(const std::int32_t *a, const std::int32_t *b,
+                std::size_t n)
+{
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += static_cast<std::int64_t>(a[i]) * b[i];
+    return sum;
+}
+
+TEST(PackedKernels, GatherDotI32MatchesInt64ReferenceOnEveryIsa)
+{
+    constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+    constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+    for (KernelIsa isa : availableKernelIsas()) {
+        const Kernels &k = kernelsFor(isa);
+        Rng rng(8106);
+        for (std::size_t n = 1; n <= 257; ++n) {
+            SCOPED_TRACE(std::string(kernelIsaName(isa)) + " n=" +
+                         std::to_string(n));
+            // Gathered rows of a random matrix, a row revisited, and
+            // |words| <= 2^27 so any n <= 257 sums fit int64.
+            const std::size_t matRows = 5;
+            std::vector<std::int32_t> mat =
+                randomI32(rng, matRows * n, 1 << 27);
+            // Row 4 holds the extremes: every product is +-2^62-ish
+            // against the query below, alternating in sign so the
+            // sequential reference never overflows. The SIMD lanes may
+            // wrap mid-sum; int64 addition is modular, so the final
+            // sum is still exact.
+            const std::vector<std::int32_t> q =
+                randomI32(rng, n, 1 << 27);
+            std::vector<std::int32_t> extremeQ(n);
+            for (std::size_t j = 0; j < n; ++j) {
+                mat[4 * n + j] = kMin;
+                extremeQ[j] = j % 2 == 0 ? kMin : kMax;
+            }
+            const std::uint32_t rows[] = {3, 0, 4, 1, 3};
+            std::int64_t out[5];
+            k.gatherDotI32(mat.data(), n, rows, 5, q.data(), out);
+            for (std::size_t i = 0; i < 5; ++i) {
+                EXPECT_EQ(out[i], dotI64Reference(mat.data() + rows[i] * n,
+                                                  q.data(), n))
+                    << "row " << rows[i];
+            }
+            const std::uint32_t extremeRow[] = {4};
+            k.gatherDotI32(mat.data(), n, extremeRow, 1, extremeQ.data(),
+                           out);
+            EXPECT_EQ(out[0], dotI64Reference(mat.data() + 4 * n,
+                                              extremeQ.data(), n));
+        }
+    }
+}
+
+TEST(PackedKernels, AxpyI32MatchesInt64ReferenceOnEveryIsa)
+{
+    constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+    constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+    const std::int32_t weights[] = {0,    1,    -1,  255, 1 << 30,
+                                    kMax, kMin, -kMax};
+    for (KernelIsa isa : availableKernelIsas()) {
+        const Kernels &k = kernelsFor(isa);
+        Rng rng(8107);
+        for (std::size_t n = 1; n <= 257; ++n) {
+            std::vector<std::int32_t> x = randomI32(rng, n, kMax);
+            x.front() = kMin;
+            x.back() = kMax;
+            std::vector<std::int64_t> seed(n);
+            for (auto &y : seed)
+                y = static_cast<std::int64_t>(
+                        rng.uniformInt(-1000000, 1000000))
+                    << 20;
+            for (const std::int32_t w : weights) {
+                SCOPED_TRACE(std::string(kernelIsaName(isa)) + " n=" +
+                             std::to_string(n) + " w=" +
+                             std::to_string(w));
+                std::vector<std::int64_t> got = seed;
+                std::vector<std::int64_t> want = seed;
+                k.axpyI32(w, x.data(), got.data(), n);
+                for (std::size_t i = 0; i < n; ++i)
+                    want[i] += static_cast<std::int64_t>(w) * x[i];
+                EXPECT_EQ(got, want);
+            }
+        }
     }
 }
 

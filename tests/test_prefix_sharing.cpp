@@ -15,11 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <dirent.h>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "attention/backend.hpp"
@@ -489,6 +494,95 @@ TEST(SpillTier, BudgetEvictsLeastRecentlyTouchedImage)
     EXPECT_EQ(source, ShardSource::ColdBound);
 }
 
+/** Names in `dir`, skipping "." and "..". */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    DIR *handle = ::opendir(dir.c_str());
+    if (handle == nullptr)
+        return names;
+    while (dirent *entry = ::readdir(handle)) {
+        const std::string name = entry->d_name;
+        if (name != "." && name != "..")
+            names.push_back(name);
+    }
+    ::closedir(handle);
+    return names;
+}
+
+TEST(SpillTier, ConcurrentWritersOfOneKeyBothPublish)
+{
+    Rng rng(45);
+    const std::size_t n = 256;
+    const std::size_t d = 32;
+    const Matrix key = randomMatrix(rng, n, d);
+    const Matrix value = randomMatrix(rng, n, d);
+    const Vector query = randomQuery(rng, d);
+    const EngineConfig config = configOf(EngineKind::ExactQuantized);
+    auto cold = makeBackend(config, key, value);
+    AttentionResult fromCold;
+    cold->runInto(query, fromCold);
+
+    // Two stores on one spill directory cold-bind the same slice at
+    // the same moment, so both write the same content key. With a
+    // shared temp name one writer's rename fails or the two writes
+    // interleave; per-writer temp names let both publish.
+    for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        TempSpillDir dir;
+        ShardStore first({dir.path(), 0});
+        ShardStore second({dir.path(), 0});
+        std::atomic<int> ready{0};
+        const auto writer = [&](ShardStore &store) {
+            ready.fetch_add(1);
+            while (ready.load() < 2) {
+            }
+            ASSERT_NE(store.acquire(config, key, value, 0, n), nullptr);
+        };
+        std::thread a(writer, std::ref(first));
+        std::thread b(writer, std::ref(second));
+        a.join();
+        b.join();
+        EXPECT_EQ(first.stats().spillWrites, 1u);
+        EXPECT_EQ(second.stats().spillWrites, 1u);
+        // Only the published image remains: no temp file leaks.
+        EXPECT_EQ(listDir(dir.path()).size(), 1u);
+
+        ShardStore restarted({dir.path(), 0});
+        ShardSource source = ShardSource::ColdBound;
+        auto restored =
+            restarted.acquire(config, key, value, 0, n, &source);
+        ASSERT_NE(restored, nullptr);
+        EXPECT_EQ(source, ShardSource::SpillRestored);
+        AttentionResult fromSpill;
+        restored->backend().runInto(query, fromSpill);
+        expectBitIdentical(fromSpill, fromCold);
+    }
+}
+
+TEST(SpillTier, RestartScanRemovesStaleTempFiles)
+{
+    TempSpillDir dir;
+    const std::string stem =
+        dir.path() + "/" + std::string(32, 'a') + ".shard.tmp.";
+    // A pid above any pid_max names a writer that is certainly gone;
+    // this process's own pid names a write still in flight.
+    const std::string stale = stem + "2147483646.0";
+    const std::string inFlight = stem + std::to_string(::getpid()) + ".0";
+    for (const std::string &path : {stale, inFlight}) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fclose(f);
+    }
+
+    ShardStore store({dir.path(), 0});
+    EXPECT_EQ(store.spillCount(), 0u);
+    const std::vector<std::string> left = listDir(dir.path());
+    ASSERT_EQ(left.size(), 1u);
+    EXPECT_EQ(dir.path() + "/" + left[0], inFlight);
+}
+
 // -- Cross-session sharing through the cache ------------------------
 
 TEST(PrefixSharing, SessionsShareFrozenShardsChargedOnce)
@@ -922,7 +1016,7 @@ TEST(DeadlineBudget, DrainPublishesRemainingBudgetToBackends)
     EXPECT_EQ(scheduler.stats().deadlineHintedGroups, 1u);
 }
 
-TEST(DeadlineBudget, GroupsWithoutDeadlinesPublishNoHint)
+TEST(DeadlineBudget, GroupsWithoutDeadlinesClearTheHint)
 {
     Rng rng(89);
     const std::size_t d = 8;
@@ -937,8 +1031,40 @@ TEST(DeadlineBudget, GroupsWithoutDeadlinesPublishNoHint)
     ASSERT_TRUE(admitted.admitted());
     auto results = scheduler.drain();
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(recorder->hintCalls(), 0u);
+    // A group without deadlines publishes the clearing hint 0, and is
+    // not counted as a deadline-hinted group.
+    EXPECT_EQ(recorder->hintCalls(), 1u);
+    EXPECT_EQ(recorder->lastHint(), 0.0);
     EXPECT_EQ(scheduler.stats().deadlineHintedGroups, 0u);
+}
+
+TEST(DeadlineBudget, DeadlineFreeDrainClearsStaleHint)
+{
+    Rng rng(90);
+    const std::size_t d = 8;
+    SessionCache cache;
+    auto recorder = std::make_shared<HintRecordingBackend>(
+        randomMatrix(rng, 32, d), randomMatrix(rng, 32, d));
+    cache.insert("doc", recorder);
+
+    AttentionEngine engine(1);
+    BatchScheduler scheduler(engine, cache);
+    SubmitOptions options;
+    options.deadlineSeconds = 5.0;
+    const Vector first = randomQuery(rng, d);
+    ASSERT_TRUE(scheduler.submit("doc", first, options).admitted());
+    ASSERT_EQ(scheduler.drain().size(), 1u);
+    ASSERT_GT(recorder->lastHint(), 0.0);
+
+    // The next drain on the same session carries no deadline: it must
+    // clear the budget the first drain published, or a remote backend
+    // would keep clamping its waits to the stale value.
+    const Vector second = randomQuery(rng, d);
+    ASSERT_TRUE(scheduler.submit("doc", second).admitted());
+    ASSERT_EQ(scheduler.drain().size(), 1u);
+    EXPECT_EQ(recorder->hintCalls(), 2u);
+    EXPECT_EQ(recorder->lastHint(), 0.0);
+    EXPECT_EQ(scheduler.stats().deadlineHintedGroups, 1u);
 }
 
 TEST(DeadlineBudget, ShardedBackendForwardsHintToEveryShard)

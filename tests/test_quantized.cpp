@@ -139,6 +139,60 @@ TEST(QuantizedAttention, ExtremeInputsDoNotOverflow)
     }
 }
 
+TEST(QuantizedAttention, Word32CapacityCornerKeepsOutputInvariants)
+{
+    // Max-magnitude words on the bound word32 lanes at the task's own
+    // n: every key and query element at the format maximum puts the
+    // dot products at the corner of the (2i + log2 d, 2f) format
+    // (64 * 255^2 of 2^22 - 1), and the values sit at either extreme.
+    // The per-query weight invariant (non-negative, summing to at most
+    // 1.0) and the per-column output check must hold, which the run
+    // asserts internally; the output stays inside the value range.
+    const std::size_t n = 320;
+    const std::size_t d = 64;
+    const float top = 15.9375f;  // Q4.4 maximum; -16 saturates to -top
+    for (const std::size_t winners : {std::size_t{1}, std::size_t{160}}) {
+        for (const float extreme : {top, -16.0f}) {
+            SCOPED_TRACE("winners=" + std::to_string(winners) +
+                         " value=" + std::to_string(extreme));
+            Matrix key(n, d);
+            Matrix value(n, d);
+            Vector query(d);
+            for (std::size_t r = 0; r < n; ++r) {
+                for (std::size_t c = 0; c < d; ++c) {
+                    key(r, c) = r < winners ? top : -top;
+                    value(r, c) = extreme;
+                }
+            }
+            for (std::size_t c = 0; c < d; ++c)
+                query[c] = top;
+
+            const QuantizedAttention qa(key, value, 4, 4,
+                                        PackedKvFormat::Word32);
+            ASSERT_EQ(qa.packedFormat(), PackedKvFormat::Word32);
+            AttentionResult r;
+            qa.runInto(query, r);
+            EXPECT_FLOAT_EQ(r.scores[0], 64.0f * top * top);
+
+            double weightSum = 0.0;
+            for (const float w : r.weights) {
+                EXPECT_GE(w, 0.0f);
+                weightSum += w;
+            }
+            EXPECT_LE(weightSum, 1.0);
+            EXPECT_GT(weightSum, 0.5);
+            for (const float o : r.output)
+                EXPECT_LE(std::fabs(o), top);
+
+            // The unbound path quantizes into scratch word32 lanes and
+            // must land on the same bits.
+            const AttentionResult unbound = qa.run(key, value, query);
+            EXPECT_EQ(unbound.output, r.output);
+            EXPECT_EQ(unbound.weights, r.weights);
+        }
+    }
+}
+
 TEST(QuantizedAttention, TopWeightRowAgreesWithReference)
 {
     // Quantization must not disturb which row wins when the margin is

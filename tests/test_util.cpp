@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -341,6 +342,25 @@ TEST(Logging, LevelGatesOutput)
     setLogLevel(LogLevel::Debug);
     EXPECT_EQ(logLevel(), LogLevel::Debug);
     setLogLevel(before);
+}
+
+TEST(Logging, AssertMessageEvaluatedOnlyOnFailure)
+{
+    int evaluated = 0;
+    const auto costlyMessage = [&evaluated] {
+        ++evaluated;
+        return std::string("formatted");
+    };
+    const int x = 3;
+    a3Assert(x > 0, "x was ", x, ": ", costlyMessage());
+    EXPECT_EQ(evaluated, 0);
+}
+
+TEST(LoggingDeathTest, FailedAssertPrintsFormattedMessage)
+{
+    const int x = -3;
+    EXPECT_DEATH(a3Assert(x > 0, "x was ", x, " in ", std::string("Q4.4")),
+                 "assertion failed: x was -3 in Q4\\.4");
 }
 
 }  // namespace
